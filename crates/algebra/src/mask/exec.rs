@@ -185,11 +185,19 @@ impl<'a> ColumnarExec<'a> {
                 left_arity: _,
                 pairs,
                 residual,
-                on: _,
+                on,
+                null_tolerant,
             } => {
                 let l = self.execute(left)?;
                 let r = self.execute(right)?;
-                self.join(&l, &r, pairs, residual)?
+                if *null_tolerant {
+                    // The product plus filter of the unfused σ(×).
+                    let mut out = self.join(&l, &r, &[], &Condition::True)?;
+                    out.retain_rows(|t| on.eval(t));
+                    out
+                } else {
+                    self.join(&l, &r, pairs, residual)?
+                }
             }
             PhysOp::Product(le, re) => {
                 let l = self.execute(le)?;

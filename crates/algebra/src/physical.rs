@@ -30,6 +30,11 @@
 //!   materialising the product (rows whose key involves a null fall back to
 //!   symbolic pairing when the domain demands it, see
 //!   [`Annotation::SYMBOLIC_NULLS`]);
+//! * plans θ*'s relaxed join key `a = b ∨ null(a) ∨ null(b)` (the `Q?`
+//!   side of the `(Q+, Q?)` approximation) as a **null-tolerant** hash
+//!   join: null-free keys still hash-probe, and a row with a null in its
+//!   key pairs symbolically with the whole other side in *every* domain,
+//!   so `Q?` of a join never materialises the full product;
 //! * pushes selections into scans ([`PhysOp::Scan`]'s `filter`), so
 //!   filtered-out base tuples are never materialised;
 //! * moves intermediate results through operators by value — no
@@ -649,6 +654,11 @@ pub enum PhysOp {
         residual: Condition,
         /// The original `θ`, applied whole to symbolically-paired rows.
         on: Condition,
+        /// Set by the planner when a key pair comes from a θ* conjunct
+        /// `a = b ∨ null(a) ∨ null(b)`: a row with a null in its key then
+        /// pairs symbolically in every domain, not only in domains with
+        /// [`Annotation::SYMBOLIC_NULLS`].
+        null_tolerant: bool,
     },
     /// Cartesian product.
     Product(Box<PhysOp>, Box<PhysOp>),
@@ -724,9 +734,14 @@ impl PhysOp {
                 right,
                 pairs,
                 residual,
+                null_tolerant,
                 ..
             } => {
-                write!(f, "{pad}HashJoin on ")?;
+                write!(f, "{pad}HashJoin ")?;
+                if *null_tolerant {
+                    write!(f, "(null-tolerant) ")?;
+                }
+                write!(f, "on ")?;
                 for (i, (l, r)) in pairs.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
@@ -853,18 +868,14 @@ fn plan_select(input: &RaExpr, cond: &Condition, schema: &Schema) -> Result<Phys
         conjuncts(cond, &mut leaves);
         let mut pairs: Vec<(usize, usize)> = Vec::new();
         let mut residual: Vec<Condition> = Vec::new();
+        let mut null_tolerant = false;
         for leaf in leaves {
-            match &leaf {
-                Condition::Eq(Operand::Attr(i), Operand::Attr(j)) => {
-                    if *i < left_arity && *j >= left_arity {
-                        pairs.push((*i, *j - left_arity));
-                    } else if *j < left_arity && *i >= left_arity {
-                        pairs.push((*j, *i - left_arity));
-                    } else {
-                        residual.push(leaf);
-                    }
+            match join_key(&leaf, left_arity) {
+                Some((pair, tolerant)) => {
+                    pairs.push(pair);
+                    null_tolerant |= tolerant;
                 }
-                _ => residual.push(leaf),
+                None => residual.push(leaf),
             }
         }
         if !pairs.is_empty() {
@@ -875,6 +886,7 @@ fn plan_select(input: &RaExpr, cond: &Condition, schema: &Schema) -> Result<Phys
                 pairs,
                 residual: conjoin(residual),
                 on: cond.clone(),
+                null_tolerant,
             });
         }
     }
@@ -886,6 +898,54 @@ fn plan_select(input: &RaExpr, cond: &Condition, schema: &Schema) -> Result<Phys
         });
     }
     Ok(PhysOp::Select(Box::new(inner), cond.clone()))
+}
+
+/// The key pair `(left position, right position)` of a cross-side join
+/// conjunct, and whether it is null-tolerant. Two shapes qualify: `a = b`,
+/// and θ*'s `a = b ∨ null(a) ∨ null(b)` (with its disjuncts in any order
+/// or nesting, and either null test optional). On null-free keys the
+/// latter is just `a = b`.
+fn join_key(leaf: &Condition, left_arity: usize) -> Option<((usize, usize), bool)> {
+    let ((i, j), tolerant) = match leaf {
+        Condition::Eq(Operand::Attr(i), Operand::Attr(j)) => ((*i, *j), false),
+        Condition::Or(..) => {
+            let mut disjuncts = Vec::new();
+            disjuncts_of(leaf, &mut disjuncts);
+            let mut eqs = disjuncts.iter().filter_map(|d| match d {
+                Condition::Eq(Operand::Attr(i), Operand::Attr(j)) => Some((*i, *j)),
+                _ => None,
+            });
+            let (i, j) = eqs.next()?;
+            let only_null_tests = disjuncts.iter().all(|d| match d {
+                Condition::Eq(Operand::Attr(a), Operand::Attr(b)) => (*a, *b) == (i, j),
+                Condition::IsNull(k) => *k == i || *k == j,
+                _ => false,
+            });
+            if eqs.next().is_some() || !only_null_tests {
+                return None;
+            }
+            ((i, j), true)
+        }
+        _ => return None,
+    };
+    if i < left_arity && j >= left_arity {
+        Some(((i, j - left_arity), tolerant))
+    } else if j < left_arity && i >= left_arity {
+        Some(((j, i - left_arity), tolerant))
+    } else {
+        None
+    }
+}
+
+/// Split a condition into its top-level disjuncts (`∨`-chain leaves).
+fn disjuncts_of<'c>(cond: &'c Condition, out: &mut Vec<&'c Condition>) {
+    match cond {
+        Condition::Or(a, b) => {
+            disjuncts_of(a, out);
+            disjuncts_of(b, out);
+        }
+        other => out.push(other),
+    }
 }
 
 /// Execute a physical plan over a source, reporting every produced
@@ -987,11 +1047,13 @@ where
             pairs,
             residual,
             on,
+            null_tolerant,
         } => {
             let l = execute_with_cache(left, source, hook, cache)?;
             let r = execute_with_cache(right, source, hook, cache)?;
             debug_assert_eq!(l.arity(), *left_arity);
-            (OpKind::Join, hash_join(&l, &r, pairs, residual, on))
+            let out = hash_join(&l, &r, pairs, residual, on, *null_tolerant);
+            (OpKind::Join, out)
         }
         PhysOp::Product(le, re) => {
             let l = execute_with_cache(le, source, hook, cache)?;
@@ -1067,28 +1129,36 @@ fn select_rel<A: Annotation>(input: AnnRel<A>, cond: &Condition) -> AnnRel<A> {
 }
 
 /// Hash equi-join. Rows whose key is free of nulls (or every row, for
-/// domains with syntactic null equality) are matched through a
-/// [`KeyIndex`]; the rest are paired symbolically with the whole other side
-/// and filtered through [`Annotation::select`] with the full join
-/// condition.
+/// domains with syntactic null equality in a join that is not
+/// null-tolerant) are matched through a [`KeyIndex`]; the rest are paired
+/// symbolically with the whole other side and filtered through
+/// [`Annotation::select`] with the full join condition.
 fn hash_join<A: Annotation>(
     left: &AnnRel<A>,
     right: &AnnRel<A>,
     pairs: &[(usize, usize)],
     residual: &Condition,
     on: &Condition,
+    null_tolerant: bool,
 ) -> AnnRel<A> {
+    let symbolic_nulls = A::SYMBOLIC_NULLS || null_tolerant;
     let lkeys: Vec<usize> = pairs.iter().map(|&(l, _)| l).collect();
     let rkeys: Vec<usize> = pairs.iter().map(|&(_, r)| r).collect();
     let out_arity = left.arity() + right.arity();
     let mut out = AnnRel::new(out_arity);
+    if left.is_empty() || right.is_empty() {
+        // Nothing to pair: skip extracting a key for every row of the
+        // other side.
+        return out;
+    }
 
     // Partition the right side: hashable rows vs. rows needing symbolic
-    // pairing (null in the key under a symbolic domain).
+    // pairing (null in the key under a symbolic domain or a null-tolerant
+    // join).
     let mut index = KeyIndex::new();
     let mut right_symbolic: Vec<usize> = Vec::new();
     for (i, (t, _)) in right.rows().iter().enumerate() {
-        if A::SYMBOLIC_NULLS && key_has_null(t, &rkeys) {
+        if symbolic_nulls && key_has_null(t, &rkeys) {
             right_symbolic.push(i);
         } else {
             index.insert(t, &rkeys, i);
@@ -1102,7 +1172,7 @@ fn hash_join<A: Annotation>(
     };
 
     for (lt, la) in left.rows() {
-        if A::SYMBOLIC_NULLS && key_has_null(lt, &lkeys) {
+        if symbolic_nulls && key_has_null(lt, &lkeys) {
             // Symbolic left row: pair with everything on the right.
             for (rt, ra) in right.rows() {
                 push_symbolic(&mut out, lt, la, rt, ra);
@@ -1400,6 +1470,7 @@ fn hoist(op: &PhysOp, invariant: &impl Fn(&str) -> bool, hoisted: &mut Vec<PhysO
             pairs,
             residual,
             on,
+            null_tolerant,
         } => PhysOp::HashJoin {
             left: Box::new(hoist(left, invariant, hoisted)),
             right: Box::new(hoist(right, invariant, hoisted)),
@@ -1407,6 +1478,7 @@ fn hoist(op: &PhysOp, invariant: &impl Fn(&str) -> bool, hoisted: &mut Vec<PhysO
             pairs: pairs.clone(),
             residual: residual.clone(),
             on: on.clone(),
+            null_tolerant: *null_tolerant,
         },
         PhysOp::Product(l, r) => PhysOp::Product(
             Box::new(hoist(l, invariant, hoisted)),
@@ -1777,6 +1849,44 @@ mod tests {
             PhysOp::Select(inner, _) => assert!(matches!(*inner, PhysOp::Product(..))),
             other => panic!("expected select over product, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn planner_recognises_theta_star_join_conjuncts() {
+        let d = db();
+        let join = |cond: Condition| {
+            let q = RaExpr::rel("R").product(RaExpr::rel("S")).select(cond);
+            match plan(&q, d.schema()).unwrap() {
+                PhysOp::HashJoin {
+                    pairs,
+                    null_tolerant,
+                    ..
+                } => Some((pairs, null_tolerant)),
+                _ => None,
+            }
+        };
+        let eq = || Condition::eq_attr(1, 2);
+        let tolerant = Some((vec![(1, 0)], true));
+        // θ*'s shape, in any order and nesting, with either null test.
+        assert_eq!(
+            join(eq().or(Condition::IsNull(1)).or(Condition::IsNull(2))),
+            tolerant
+        );
+        assert_eq!(
+            join(Condition::IsNull(2).or(Condition::eq_attr(2, 1).or(Condition::IsNull(1)))),
+            tolerant
+        );
+        assert_eq!(join(eq().or(Condition::IsNull(2))), tolerant);
+        // A plain equality keeps the plain join.
+        assert_eq!(join(eq()), Some((vec![(1, 0)], false)));
+        // Any other disjunct keeps the select over the product.
+        assert_eq!(join(eq().or(Condition::IsNull(0))), None);
+        assert_eq!(join(eq().or(Condition::eq_const(2, 1))), None);
+        assert_eq!(join(eq().or(Condition::eq_attr(0, 2))), None);
+        assert_eq!(
+            join(Condition::eq_attr(0, 1).or(Condition::IsNull(0))),
+            None
+        );
     }
 
     #[test]

@@ -310,4 +310,56 @@ mod tests {
         assert!(!pair.q_plus.to_string().contains("Dom^"));
         assert!(!pair.q_question.to_string().contains("Dom^"));
     }
+
+    #[test]
+    fn q_question_of_a_join_plans_a_null_tolerant_hash_join() {
+        // T ⋈_{a = a} R: Q+ keeps the equality, Q? relaxes it to θ*'s
+        // `a = a' ∨ null(a) ∨ null(a')`. Both still plan hash joins; only
+        // Q?'s lets null keys pair with every row.
+        use certa_algebra::physical::PhysOp;
+        fn join_flags(op: &PhysOp, out: &mut Vec<bool>) {
+            match op {
+                PhysOp::HashJoin {
+                    left,
+                    right,
+                    null_tolerant,
+                    ..
+                } => {
+                    out.push(*null_tolerant);
+                    join_flags(left, out);
+                    join_flags(right, out);
+                }
+                PhysOp::Select(e, _) | PhysOp::Project(e, _) => join_flags(e, out),
+                PhysOp::Product(l, r) => {
+                    join_flags(l, out);
+                    join_flags(r, out);
+                }
+                _ => {}
+            }
+        }
+        let d = db();
+        let q = RaExpr::rel("T")
+            .join_on(RaExpr::rel("R"), &[(0, 0)], 2)
+            .project(vec![1, 2]);
+        let prepared = translate(&q, d.schema())
+            .unwrap()
+            .prepare(d.schema())
+            .unwrap();
+        let (mut plus, mut question) = (Vec::new(), Vec::new());
+        join_flags(prepared.q_plus.plan(), &mut plus);
+        join_flags(prepared.q_question.plan(), &mut question);
+        assert_eq!(plus, vec![false], "Q+ plan:\n{}", prepared.q_plus.plan());
+        assert_eq!(
+            question,
+            vec![true],
+            "Q? plan:\n{}",
+            prepared.q_question.plan()
+        );
+        assert!(prepared
+            .q_question
+            .plan()
+            .to_string()
+            .contains("HashJoin (null-tolerant) on"));
+        check_sandwich(&q, &d);
+    }
 }

@@ -96,14 +96,24 @@ impl Cond {
         Cond::Truth(Truth3::True)
     }
 
-    /// Equality atom.
+    /// Equality `a = b`. An atom only when it mentions a null and the two
+    /// sides differ: two constants, or two syntactically equal values,
+    /// fold to their ground truth value here, so ground comparisons never
+    /// reach a c-table condition.
     pub fn eq(a: Value, b: Value) -> Cond {
-        Cond::Atom(CondAtom::Eq(a, b))
+        Cond::atom(CondAtom::Eq(a, b))
     }
 
-    /// Disequality atom.
+    /// Disequality `a ≠ b`, folded like [`Cond::eq`].
     pub fn neq(a: Value, b: Value) -> Cond {
-        Cond::Atom(CondAtom::Neq(a, b))
+        Cond::atom(CondAtom::Neq(a, b))
+    }
+
+    fn atom(atom: CondAtom) -> Cond {
+        match atom.ground() {
+            Truth3::Unknown => Cond::Atom(atom),
+            decided => Cond::Truth(decided),
+        }
     }
 
     /// Conjunction with simplification of ground units.
@@ -138,11 +148,15 @@ impl Cond {
     }
 
     /// The conjunction of positionwise equalities between two tuples
-    /// (the matching condition used by difference and intersection).
+    /// (the matching condition used by difference and intersection). Two
+    /// different ground tuples give `False` at once.
     pub fn tuple_eq(a: &certa_data::Tuple, b: &certa_data::Tuple) -> Cond {
         let mut out = Cond::truth();
         for (x, y) in a.iter().zip(b.iter()) {
             out = out.and(Cond::eq(x.clone(), y.clone()));
+            if out == Cond::Truth(Truth3::False) {
+                break;
+            }
         }
         out
     }
@@ -471,6 +485,84 @@ mod tests {
         assert_eq!(CondAtom::Eq(null(0), null(0)).ground(), Truth3::True);
         assert_eq!(CondAtom::Neq(null(0), int(2)).ground(), Truth3::Unknown);
         assert_eq!(CondAtom::Neq(int(1), int(2)).ground(), Truth3::True);
+    }
+
+    #[test]
+    fn constructors_fold_ground_comparisons() {
+        // Two constants decide the comparison.
+        assert_eq!(Cond::eq(int(1), int(1)), Cond::truth());
+        assert_eq!(Cond::eq(int(1), int(2)), Cond::Truth(Truth3::False));
+        assert_eq!(Cond::neq(int(1), int(2)), Cond::truth());
+        assert_eq!(Cond::neq(int(1), int(1)), Cond::Truth(Truth3::False));
+        // So does the same null on both sides.
+        assert_eq!(Cond::eq(null(0), null(0)), Cond::truth());
+        assert_eq!(Cond::neq(null(0), null(0)), Cond::Truth(Truth3::False));
+        // A null against a constant or another null stays an atom.
+        assert_eq!(
+            Cond::eq(null(0), int(1)),
+            Cond::Atom(CondAtom::Eq(null(0), int(1)))
+        );
+        assert_eq!(
+            Cond::neq(int(1), null(0)),
+            Cond::Atom(CondAtom::Neq(int(1), null(0)))
+        );
+        assert_eq!(
+            Cond::eq(null(0), null(1)),
+            Cond::Atom(CondAtom::Eq(null(0), null(1)))
+        );
+        // Tuple matching: different ground tuples are false at once.
+        use certa_data::tup;
+        assert_eq!(
+            Cond::tuple_eq(&tup![1, 2], &tup![1, 3]),
+            Cond::Truth(Truth3::False)
+        );
+        assert_eq!(Cond::tuple_eq(&tup![1, 2], &tup![1, 2]), Cond::truth());
+    }
+
+    #[test]
+    fn folded_conditions_evaluate_like_raw_atoms() {
+        // Every atom over {1, 2, ⊥0, ⊥1}, and every ∧/∨ of two atoms under
+        // an optional ¬, built once through the folding constructors and
+        // once from raw `Cond::Atom`s with boxed connectives: both must
+        // evaluate alike under every valuation of ⊥0, ⊥1 over {1, 2, 3}.
+        let values = [int(1), int(2), null(0), null(1)];
+        let mut atoms: Vec<(Cond, Cond)> = Vec::new();
+        for a in &values {
+            for b in &values {
+                atoms.push((
+                    Cond::eq(a.clone(), b.clone()),
+                    Cond::Atom(CondAtom::Eq(a.clone(), b.clone())),
+                ));
+                atoms.push((
+                    Cond::neq(a.clone(), b.clone()),
+                    Cond::Atom(CondAtom::Neq(a.clone(), b.clone())),
+                ));
+            }
+        }
+        let mut pairs: Vec<(Cond, Cond)> = atoms.clone();
+        for (fa, ra) in &atoms {
+            for (fb, rb) in &atoms {
+                let raw_and = Cond::And(Box::new(ra.clone()), Box::new(rb.clone()));
+                let raw_or = Cond::Or(Box::new(ra.clone()), Box::new(rb.clone()));
+                pairs.push((fa.clone().and(fb.clone()), raw_and.clone()));
+                pairs.push((fa.clone().or(fb.clone()), raw_or.clone()));
+                pairs.push((
+                    fa.clone().and(fb.clone()).not(),
+                    Cond::Not(Box::new(raw_and)),
+                ));
+                pairs.push((fa.clone().or(fb.clone()).not(), Cond::Not(Box::new(raw_or))));
+            }
+        }
+        let pool = [Const::Int(1), Const::Int(2), Const::Int(3)];
+        let nulls: BTreeSet<NullId> = [0, 1].into_iter().collect();
+        let valuations: Vec<Valuation> =
+            certa_data::valuation::all_valuations(&nulls, &pool).collect();
+        for (folded, raw) in &pairs {
+            assert!(folded.size() <= raw.size(), "{folded} vs {raw}");
+            for v in &valuations {
+                assert_eq!(folded.eval_under(v), raw.eval_under(v), "{raw} under {v}");
+            }
+        }
     }
 
     #[test]

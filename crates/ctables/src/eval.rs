@@ -149,10 +149,12 @@ impl Annotation for CondAnn {
     }
 
     /// Conditional intersection: every pair contributes the left tuple
-    /// under `α ∧ β ∧ t̄ = s̄`. Non-unifiable pairs are **not** pruned, to
-    /// match the seed evaluator atom-for-atom: their matching condition is
-    /// unsatisfiable but grounds eagerly to `u` (e.g. `⊥₀ = 1 ∧ ⊥₀ = 2`),
-    /// and the oracle keeps such rows in `Eval_p`.
+    /// under `α ∧ β ∧ t̄ = s̄`. Two different ground tuples fold to `f` in
+    /// [`Cond::tuple_eq`], so such pairs drop out. Other non-unifiable
+    /// pairs are **not** pruned, to match the seed evaluator atom-for-atom:
+    /// a null set against two different constants (`⊥₀ = 1 ∧ ⊥₀ = 2`) is
+    /// unsatisfiable but grounds eagerly to `u`, and the oracle keeps such
+    /// rows in `Eval_p`.
     fn intersect(left: AnnRel<Self>, right: &AnnRel<Self>) -> AnnRel<Self> {
         let mut out = AnnRel::new(left.arity());
         for (t, CondAnn(a)) in left.rows() {
@@ -533,6 +535,28 @@ mod tests {
             out.possible(),
             Relation::from_tuples(vec![tup![Value::null(0)]])
         );
+    }
+
+    #[test]
+    fn ground_selection_keeps_only_matching_rows() {
+        // σ_{a=5}(R) over a ground R: every comparison folds, so rows that
+        // fail it are dropped at the selection and the rest carry `t`.
+        let d = database_from_literal([(
+            "R",
+            vec!["a", "b"],
+            vec![tup![5, 1], tup![6, 1], tup![5, 2], tup![7, 5]],
+        )]);
+        let q = RaExpr::rel("R").select(Condition::eq_const(0, 5));
+        for strat in Strategy::ALL {
+            let out = eval_conditional(&q, &d, strat).unwrap();
+            let rows: Vec<&CTuple> = out.table().iter().collect();
+            assert_eq!(rows.len(), 2, "{strat:?}: {:?}", out.table());
+            for ct in rows {
+                assert_eq!(ct.tuple[0], Value::int(5), "{strat:?}");
+                assert_eq!(ct.cond, Cond::truth(), "{strat:?}");
+            }
+            assert_eq!(out.certain(), out.possible());
+        }
     }
 
     #[test]

@@ -686,7 +686,16 @@ impl Database {
 
     /// Set of constants occurring in the database, `Const(D)`.
     pub fn consts(&self) -> BTreeSet<Const> {
-        self.relations.values().flat_map(Relation::consts).collect()
+        // One flat vector, sorted and deduplicated once: no per-tuple set.
+        let mut all: Vec<Const> = self
+            .relations
+            .values()
+            .flat_map(Relation::iter)
+            .flat_map(|t| t.iter().filter_map(Value::as_const).cloned())
+            .collect();
+        all.sort_unstable();
+        all.dedup();
+        all.into_iter().collect()
     }
 
     /// Set of nulls occurring in the database, `Null(D)`.
@@ -1381,6 +1390,44 @@ mod tests {
         assert_eq!(d.active_domain().len(), 5);
         assert!(!d.is_complete());
         assert_eq!(d.fresh_null(), 2);
+    }
+
+    #[test]
+    fn consts_match_the_union_of_per_relation_sets() {
+        // Seeded random databases with `Int` and `Str` constants, nulls and
+        // empty relations: the flat sort-and-dedup must give exactly the
+        // union of every relation's constant set.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for _ in 0..200 {
+            let schema = Schema::from_relations(vec![
+                RelationSchema::new("A", vec!["x"]),
+                RelationSchema::new("B", vec!["x", "y"]),
+                RelationSchema::new("C", vec!["x", "y", "z"]),
+            ])
+            .unwrap();
+            let mut d = Database::new(schema);
+            for (name, arity) in [("A", 1), ("B", 2), ("C", 3)] {
+                // About one relation in four stays empty.
+                let rows = next(8).saturating_sub(2);
+                for _ in 0..rows {
+                    let t = Tuple::new((0..arity).map(|_| match next(3) {
+                        0 => Value::int(next(5) as i64 - 2),
+                        1 => Value::str(format!("s{}", next(4))),
+                        _ => Value::null(next(3) as NullId),
+                    }));
+                    d.insert(name, t).unwrap();
+                }
+            }
+            let by_sets: BTreeSet<Const> =
+                d.relations.values().flat_map(Relation::consts).collect();
+            assert_eq!(d.consts(), by_sets, "{d}");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! intersection are rejected up front: bag monus and min are not row-wise,
 //! so the weighted reading would be unsound there.
 
-use crate::batch::check_symbolic_fragment_for_bags;
+use crate::batch::{check_symbolic_fragment_for_bags, RowIndex};
 use crate::encode::Encoding;
 use crate::order::var_order;
 use crate::store::{Forest, NodeId as BoolNode, FALSE as BOOL_FALSE};
@@ -315,6 +315,7 @@ pub struct BagLineageBatch {
     forest: Forest,
     encoding: Encoding,
     rows: Vec<(Tuple, Cond, usize, BoolNode)>,
+    index: RowIndex,
     arity: usize,
     db_nulls: BTreeSet<certa_data::NullId>,
     zero_worlds: bool,
@@ -362,10 +363,12 @@ impl BagLineageBatch {
             };
             rows.push((tuple, ann.cond, ann.weight, node));
         }
+        let index = RowIndex::new(rows.iter().map(|(t, ..)| t));
         Ok(BagLineageBatch {
             forest,
             encoding,
             rows,
+            index,
             arity,
             db_nulls,
             zero_worlds,
@@ -378,9 +381,11 @@ impl BagLineageBatch {
     ///
     /// # Errors
     ///
-    /// [`LineageError::CountOverflow`] when a row weight or a summed
-    /// multiplicity would exceed `usize` — overflow is a value, never a
-    /// clamped bound.
+    /// [`LineageError::CountOverflow`] when a summed multiplicity would
+    /// exceed `usize`, or when a row whose weight was clamped at
+    /// `usize::MAX` matches the candidate in some world of the pool —
+    /// overflow is a value, never a clamped bound. A clamped row that can
+    /// never match the candidate adds nothing and raises nothing.
     pub fn multiplicity_range(&mut self, tuple: &Tuple) -> Result<(usize, usize)> {
         assert_eq!(
             tuple.arity(),
@@ -390,21 +395,20 @@ impl BagLineageBatch {
         if self.zero_worlds {
             return Ok((0, 0));
         }
-        let foreign = !tuple.nulls().is_subset(&self.db_nulls);
+        // A candidate with a null outside the database matches no row.
+        let visit = if tuple.nulls().is_subset(&self.db_nulls) {
+            self.index.matching(tuple, |i| &self.rows[i].0)
+        } else {
+            Vec::new()
+        };
         // One arithmetic forest per candidate: the saturation flag and the
         // clamped terminals it marks are local to a single sum, and must
         // not poison later candidates through a shared add-cache.
         let mut add = AddForest::new(self.encoding.domains());
         let mut total = add.terminal(0);
-        for i in 0..self.rows.len() {
-            if foreign || self.rows[i].3 == BOOL_FALSE {
+        for i in visit {
+            if self.rows[i].3 == BOOL_FALSE {
                 continue;
-            }
-            // `times` clamps weight products at usize::MAX; a clamped (or
-            // genuinely maximal, indistinguishable) weight cannot yield an
-            // exact bound.
-            if self.rows[i].2 == usize::MAX {
-                return Err(LineageError::CountOverflow);
             }
             let matching = Cond::tuple_eq(&self.rows[i].0, tuple);
             let eq_node = self.encoding.compile(&mut self.forest, &matching)?;
@@ -412,6 +416,13 @@ impl BagLineageBatch {
             let indicator = self.forest.and(row_node, eq_node)?;
             if indicator == BOOL_FALSE {
                 continue;
+            }
+            // `times` clamps weight products at usize::MAX; a clamped (or
+            // genuinely maximal, indistinguishable) weight cannot yield an
+            // exact bound for a candidate the row counts towards in some
+            // world. A row that never matches the candidate adds nothing.
+            if self.rows[i].2 == usize::MAX {
+                return Err(LineageError::CountOverflow);
             }
             let weighted = add.weighted_indicator(&self.forest, indicator, self.rows[i].2);
             total = add.add(total, weighted);

@@ -30,7 +30,7 @@ use crate::{LineageError, Result};
 use certa_algebra::{optimize_with, Condition, RaExpr, Stats};
 use certa_ctables::{eval_conditional, Cond, Strategy};
 use certa_data::{Const, Database, Tuple, Valuation};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// A compiled lineage batch for one `(query, database, pool)` triple.
 pub struct LineageBatch {
@@ -40,6 +40,8 @@ pub struct LineageBatch {
     /// the generic-membership path, which evaluates symbolically outside
     /// the pool — and its compiled diagram.
     rows: Vec<(Tuple, Cond, NodeId)>,
+    /// Which rows a candidate can match, built once from the row tuples.
+    index: RowIndex,
     arity: usize,
     db_nulls: BTreeSet<certa_data::NullId>,
     /// Pool empty while nulls exist: the valuation space is empty, and the
@@ -122,10 +124,12 @@ impl LineageBatch {
             };
             rows.push((ct.tuple.clone(), ct.cond.clone(), node));
         }
+        let index = RowIndex::new(rows.iter().map(|(t, _, _)| t));
         Ok(LineageBatch {
             forest,
             encoding,
             rows,
+            index,
             arity: result.table().arity(),
             db_nulls,
             zero_worlds,
@@ -240,10 +244,16 @@ impl LineageBatch {
         // `∨ᵢ (⊥ᵢ = ⊥_c ∧ …)` whose ordered diagrams must remember the set
         // of values seen before level `c` — exponential in width. The
         // order only affects diagram-construction cost, never the result.
+        //
+        // Only rows that unify with the candidate are visited: the others'
+        // matching conditions fold to `FALSE` without building a node, so
+        // skipping them leaves the fold, the diagram and the node count as
+        // they were over all rows.
         let candidate_nulls = tuple.nulls();
-        let mut order: Vec<usize> = (0..self.rows.len()).collect();
+        let mut order = self.index.matching(tuple, |i| &self.rows[i].0);
         // Cached keys: `Tuple::nulls` allocates a fresh set per call, so
-        // evaluate the rank once per row, not once per comparison.
+        // evaluate the rank once per row, not once per comparison. The sort
+        // is stable, so equal ranks keep row order.
         order.sort_by_cached_key(|&i| {
             let s = &self.rows[i].0;
             if s == tuple {
@@ -342,6 +352,54 @@ impl LineageBatch {
         self.rows
             .iter()
             .any(|(s, cond, _)| cond.eval_under(&v) && v.apply_tuple(s) == target)
+    }
+}
+
+/// The candidate index over a batch's result tuples, built once when the
+/// batch is compiled: null-free tuples map to their row indices, and the
+/// rows that carry a null are listed apart.
+///
+/// A candidate's lineage `∨_rows (φ ∧ s̄ = t̄)` only needs the rows whose
+/// tuple `s̄` unifies with `t̄`; for every other row `s̄ = t̄` is
+/// unsatisfiable. A ground candidate unifies with the null-free rows equal
+/// to it and with some of the null-bearing rows; a candidate with nulls is
+/// checked against every row.
+#[derive(Debug, Default)]
+pub(crate) struct RowIndex {
+    ground: HashMap<Tuple, Vec<usize>>,
+    with_nulls: Vec<usize>,
+    len: usize,
+}
+
+impl RowIndex {
+    pub(crate) fn new<'a>(tuples: impl IntoIterator<Item = &'a Tuple>) -> RowIndex {
+        let mut index = RowIndex::default();
+        for (i, t) in tuples.into_iter().enumerate() {
+            if t.has_null() {
+                index.with_nulls.push(i);
+            } else {
+                index.ground.entry(t.clone()).or_default().push(i);
+            }
+            index.len = i + 1;
+        }
+        index
+    }
+
+    /// The rows whose tuple unifies with `candidate`, in ascending order;
+    /// `tuple_of(i)` is row `i`'s tuple.
+    pub(crate) fn matching<'a>(
+        &self,
+        candidate: &Tuple,
+        tuple_of: impl Fn(usize) -> &'a Tuple,
+    ) -> Vec<usize> {
+        let unifies = |&i: &usize| certa_data::unifiable(tuple_of(i), candidate);
+        if candidate.has_null() {
+            return (0..self.len).filter(unifies).collect();
+        }
+        let mut out: Vec<usize> = self.ground.get(candidate).cloned().unwrap_or_default();
+        out.extend(self.with_nulls.iter().copied().filter(unifies));
+        out.sort_unstable();
+        out
     }
 }
 

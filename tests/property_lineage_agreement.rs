@@ -22,11 +22,15 @@
 //! Workload sizing: 200 random-RA + 180 random-SQL + 60 bag instances +
 //! the shop queries ≈ 440 seeded instances, of which well over 300 take
 //! the lineage path (every skip is an explicit `Unsupported` rejection,
-//! asserted bounded below).
+//! asserted bounded below). On top, 60 set and 24 bag instances aim at the
+//! candidate index (7 and 5 queries each, with stacked resolutions on the
+//! set side), and check the diagram store against an all-rows fold.
 
 use certa::certain::cert::{classify_candidates, classify_candidates_lineage};
 use certa::certain::worlds::exact_pool;
 use certa::certain::{bag_bounds, cert, prob, reference, CertainError, WorldSpec};
+use certa::ctables::Cond;
+use certa::lineage::{var_order, Encoding, Forest, NodeId, FALSE, TRUE};
 use certa::prelude::*;
 use rand::prelude::*;
 
@@ -347,4 +351,337 @@ fn lineage_reaches_configurations_enumeration_cannot() {
         prob::mu_k(&q, &db, &tup![Value::null(0)], 4),
         Err(CertainError::TooManyWorlds { .. })
     ));
+}
+
+// ------------------------------------------------------- candidate index
+//
+// `LineageBatch::lineage_of` and `BagLineageBatch::multiplicity_range`
+// visit only the rows a candidate can unify with. The instances below aim
+// at that index: candidates that carry nulls, a null repeated across
+// positions (`(⊥0, ⊥0)` against `(1, 2)`), rows equal to the candidate
+// next to null-bearing rows, and stacked `restrict_null` calls. Every
+// verdict must match enumeration, and the diagram store must end up the
+// size an all-rows fold leaves it.
+
+const INDEX_CASES: u64 = 60;
+const INDEX_BAG_CASES: u64 = 24;
+
+/// `R(a, b)` with ground rows (candidates hit them exactly) plus
+/// null-bearing rows: a null repeated across both positions, or a null
+/// next to a constant. `S(c)` is ground but may carry one null.
+fn gen_index_database(rng: &mut StdRng) -> Database {
+    let int = |rng: &mut StdRng| Value::int(rng.gen_range(0i64..3));
+    let mut r: Vec<Tuple> = Vec::new();
+    for _ in 0..rng.gen_range(2usize..6) {
+        r.push(Tuple::new([int(rng), int(rng)]));
+    }
+    for _ in 0..rng.gen_range(1usize..4) {
+        let null = Value::null(rng.gen_range(0u32..2));
+        let c = int(rng);
+        r.push(match rng.gen_range(0..3) {
+            0 => Tuple::new([null.clone(), null]),
+            1 => Tuple::new([null, c]),
+            _ => Tuple::new([c, null]),
+        });
+    }
+    let mut s: Vec<Tuple> = (0..rng.gen_range(1usize..4))
+        .map(|_| Tuple::new([int(rng)]))
+        .collect();
+    if rng.gen_bool(0.5) {
+        s.push(tup![Value::null(rng.gen_range(0u32..3))]);
+    }
+    database_from_literal([("R", vec!["a", "b"], r), ("S", vec!["c"], s)])
+}
+
+/// Binary queries over [`gen_index_database`]; `monus_free` keeps the
+/// fragment the bag lineage accepts.
+fn index_queries(monus_free: bool) -> Vec<RaExpr> {
+    let mut out = vec![
+        RaExpr::rel("R"),
+        RaExpr::rel("R").union(RaExpr::rel("S").product(RaExpr::rel("S"))),
+        RaExpr::rel("R")
+            .join_on(RaExpr::rel("R"), &[(1, 0)], 2)
+            .project(vec![0, 3]),
+        RaExpr::rel("R").project(vec![0, 0]),
+        RaExpr::rel("R").select(Condition::neq_attr(0, 1)),
+    ];
+    if !monus_free {
+        out.push(RaExpr::rel("R").difference(RaExpr::rel("S").product(RaExpr::rel("S"))));
+        out.push(
+            RaExpr::rel("S")
+                .product(RaExpr::rel("S"))
+                .intersect(RaExpr::rel("R")),
+        );
+    }
+    out
+}
+
+/// Binary candidates: some naïve answers, every ground row of `R` (exact
+/// index hits), candidates carrying nulls (one repeated), and ground
+/// tuples that only null-bearing rows can reach.
+fn index_candidates(query: &RaExpr, db: &Database) -> Vec<Tuple> {
+    let mut out: Vec<Tuple> = naive_eval(query, db)
+        .unwrap()
+        .iter()
+        .take(4)
+        .cloned()
+        .collect();
+    out.extend(
+        db.relation("R")
+            .unwrap()
+            .iter()
+            .filter(|t| !t.has_null())
+            .cloned(),
+    );
+    out.extend([
+        tup![Value::null(0), Value::null(0)],
+        tup![Value::null(1), Value::null(0)],
+        tup![Value::null(0), 1],
+        tup![1, 2],
+        tup![2, 2],
+        tup![99, 99],
+    ]);
+    out
+}
+
+/// The batch pipeline rebuilt in the test, folding every row into each
+/// candidate's lineage — no index. Its store must grow exactly as the
+/// batch's does.
+struct AllRowsFold {
+    forest: Forest,
+    encoding: Encoding,
+    rows: Vec<(Tuple, NodeId)>,
+    db_nulls: std::collections::BTreeSet<u32>,
+    pins: Vec<(u32, usize)>,
+}
+
+impl AllRowsFold {
+    fn compile(query: &RaExpr, db: &Database, pool: &[Const]) -> AllRowsFold {
+        let stats = Stats::from_database(db);
+        let optimized = optimize_with(query, db.schema(), &stats).unwrap();
+        let result = eval_conditional(&optimized, db, Strategy::Aware).unwrap();
+        let db_nulls = db.nulls();
+        let conds = result.table().iter().map(|ct| &ct.cond);
+        let order = var_order(&db_nulls, conds, Some((&stats, db)));
+        let encoding = Encoding::new(pool.to_vec(), order);
+        let mut forest = Forest::new(encoding.domains());
+        let rows = result
+            .table()
+            .iter()
+            .map(|ct| {
+                let node = encoding.compile(&mut forest, &ct.cond).unwrap();
+                (ct.tuple.clone(), node)
+            })
+            .collect();
+        AllRowsFold {
+            forest,
+            encoding,
+            rows,
+            db_nulls,
+            pins: Vec::new(),
+        }
+    }
+
+    fn restrict(&mut self, null: u32, value: &Const) {
+        let level = self.encoding.level(null).unwrap();
+        let idx = self
+            .encoding
+            .pool()
+            .iter()
+            .position(|c| c == value)
+            .unwrap();
+        for row in &mut self.rows {
+            row.1 = self.forest.restrict(row.1, level, idx).unwrap();
+        }
+        self.pins.push((level, idx));
+    }
+
+    fn lineage_of(&mut self, tuple: &Tuple) -> NodeId {
+        if !tuple.nulls().is_subset(&self.db_nulls) {
+            return FALSE;
+        }
+        let candidate_nulls = tuple.nulls();
+        let mut order: Vec<usize> = (0..self.rows.len()).collect();
+        order.sort_by_cached_key(|&i| {
+            let s = &self.rows[i].0;
+            if s == tuple {
+                0u8
+            } else if !s.nulls().is_disjoint(&candidate_nulls) {
+                1
+            } else {
+                2
+            }
+        });
+        let mut out = FALSE;
+        for i in order {
+            let (row, row_node) = (&self.rows[i].0, self.rows[i].1);
+            if row_node == FALSE {
+                continue;
+            }
+            let matching = Cond::tuple_eq(row, tuple);
+            let mut eq_node = self.encoding.compile(&mut self.forest, &matching).unwrap();
+            for &(level, value) in &self.pins {
+                eq_node = self.forest.restrict(eq_node, level, value).unwrap();
+            }
+            let conjoined = self.forest.and(row_node, eq_node).unwrap();
+            out = self.forest.or(out, conjoined).unwrap();
+            if out == TRUE {
+                break;
+            }
+        }
+        out
+    }
+}
+
+/// One query over one instance, with its exact pool and candidates.
+struct IndexCase<'a> {
+    label: String,
+    query: &'a RaExpr,
+    db: &'a Database,
+    spec: WorldSpec,
+    tuples: Vec<Tuple>,
+}
+
+impl IndexCase<'_> {
+    /// Status and store size of `batch` against enumeration over the
+    /// database with the resolutions in `resolved` applied, and against
+    /// the all-rows fold.
+    fn assert_agreement(
+        &self,
+        batch: &mut LineageBatch,
+        fold: &mut AllRowsFold,
+        resolved: &Valuation,
+    ) {
+        let (label, query) = (&self.label, self.query);
+        let db = resolved.apply_database(self.db);
+        let prepared = PreparedQuery::prepare(query, db.schema()).unwrap();
+        let probes: Vec<Tuple> = self
+            .tuples
+            .iter()
+            .map(|t| resolved.apply_tuple(t))
+            .collect();
+        let engine = classify_candidates(&prepared, &db, &self.spec, &probes).unwrap();
+        let pins = batch.restriction_count();
+        for (t, eng) in self.tuples.iter().zip(&engine) {
+            assert_eq!(
+                batch.status(t).unwrap(),
+                (eng.certain, eng.possible),
+                "{label}, {pins} resolution(s): lineage vs enumeration status of {t} for {query} on {db}"
+            );
+            fold.lineage_of(t);
+        }
+        assert_eq!(
+            batch.diagram_size(),
+            fold.forest.node_count(),
+            "{label}, {pins} resolution(s): indexed vs all-rows store size for {query}"
+        );
+    }
+}
+
+#[test]
+fn candidate_index_agrees_with_enumeration() {
+    let mut restricted = 0usize;
+    for seed in 0..INDEX_CASES {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(389) + 5);
+        let db = gen_index_database(&mut rng);
+        for (qi, query) in index_queries(false).iter().enumerate() {
+            let case = IndexCase {
+                label: format!("index seed {seed} q{qi}"),
+                query,
+                db: &db,
+                spec: exact_pool(query, &db),
+                tuples: index_candidates(query, &db),
+            };
+            let pool = case.spec.pool();
+            let mut batch = LineageBatch::compile(query, &db, pool).unwrap();
+            let mut fold = AllRowsFold::compile(query, &db, pool);
+            let mut resolved = Valuation::new();
+            case.assert_agreement(&mut batch, &mut fold, &resolved);
+
+            // µ_k counts over the canonical pools, numerator and denominator.
+            for k in [2usize, 3] {
+                let pool = prob::canonical_pool(query, &db, k);
+                let mut mu_batch = LineageBatch::compile(query, &db, &pool).unwrap();
+                for t in &case.tuples {
+                    let engine = prob::mu_k(query, &db, t, k).unwrap();
+                    assert_eq!(
+                        mu_batch.mu_counts(t).unwrap(),
+                        (engine.numerator, engine.denominator),
+                        "{}, k = {k}: lineage vs enumeration µ_k of {t}",
+                        case.label
+                    );
+                }
+            }
+
+            // Stacked resolutions: pin each null in turn, re-checking the
+            // restricted batch against enumeration of the resolved database.
+            for null in db.nulls() {
+                let value = pool[rng.gen_range(0..pool.len())].clone();
+                assert!(batch.restrict_null(null, &value).unwrap());
+                fold.restrict(null, &value);
+                resolved.assign(null, value);
+                restricted += 1;
+                case.assert_agreement(&mut batch, &mut fold, &resolved);
+            }
+        }
+    }
+    assert!(
+        restricted >= INDEX_CASES as usize,
+        "too few resolutions: {restricted}"
+    );
+}
+
+#[test]
+fn candidate_index_bag_ranges_agree_with_enumeration() {
+    for seed in 0..INDEX_BAG_CASES {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(613) + 9);
+        let sets = gen_index_database(&mut rng);
+        let mut db = sets.to_bags();
+        for t in sets.relation("R").unwrap().iter() {
+            db.insert_n("R", t.clone(), rng.gen_range(0usize..3))
+                .unwrap();
+        }
+        for (qi, query) in index_queries(true).iter().enumerate() {
+            let spec = exact_pool(query, &sets);
+            for t in index_candidates(query, &sets) {
+                let by_lineage =
+                    bag_bounds::multiplicity_range_lineage_with(query, &db, &t, &spec).unwrap();
+                let by_engine = bag_bounds::multiplicity_range_with(query, &db, &t, &spec).unwrap();
+                assert_eq!(
+                    by_lineage, by_engine,
+                    "bag index seed {seed} q{qi}: lineage vs enumeration range of {t} for {query}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn clamped_weights_overflow_only_for_candidates_they_can_match() {
+    // R × R over R = {(1): usize::MAX / 2, (⊥0): 1}: every row pairing (1)
+    // with (1) clamps its weight at usize::MAX. A candidate such a row can
+    // match in some world has no exact range; a candidate it can never
+    // match is unaffected by it.
+    let sets = database_from_literal([("R", vec!["a"], vec![])]);
+    let mut db = sets.to_bags();
+    db.insert_n("R", tup![1], usize::MAX / 2).unwrap();
+    db.insert_n("R", tup![Value::null(0)], 1).unwrap();
+    let q = RaExpr::rel("R").product(RaExpr::rel("R"));
+    let pool: Vec<Const> = (0..3).map(Const::Int).collect();
+    let mut batch = BagLineageBatch::compile(&q, &db, &pool).unwrap();
+    for t in [tup![1, 1], tup![Value::null(0), Value::null(0)]] {
+        assert_eq!(
+            batch.multiplicity_range(&t),
+            Err(certa::lineage::LineageError::CountOverflow),
+            "{t}"
+        );
+    }
+    // (2, 2): only (⊥0, ⊥0) can match, when ⊥0 = 2.
+    assert_eq!(batch.multiplicity_range(&tup![2, 2]), Ok((0, 1)));
+    // (⊥0, 2): (1, ⊥0) and (⊥0, 1) never match it; (⊥0, ⊥0) does when
+    // ⊥0 = 2.
+    assert_eq!(
+        batch.multiplicity_range(&tup![Value::null(0), 2]),
+        Ok((0, 1))
+    );
 }

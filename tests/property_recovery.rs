@@ -21,7 +21,8 @@
 //!   zero pre-crash cache hits, every post-recovery answer recomputed.
 //!
 //! The crash schedule is process-global, so every test that arms it
-//! holds `CRASH_LOCK`. The byte-surgery and clean-shutdown tests need no
+//! holds `CRASH_LOCK`, and under the feature so does every test that
+//! assumes it disarmed. The byte-surgery and clean-shutdown tests need no
 //! feature; the injected-crash tests run under `--features
 //! fault-injection` (CI drives them over a seed matrix via
 //! `CERTA_RECOVERY_SEED_BASE`).
@@ -49,7 +50,8 @@ fn seed_base() -> u64 {
 }
 
 /// The crash schedule is process-global and the harness runs `#[test]`s
-/// concurrently: serialize every test that arms it.
+/// concurrently: serialize every test that arms it, and every test that
+/// must not see a crash a concurrent test armed.
 #[cfg(feature = "fault-injection")]
 static CRASH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -226,6 +228,10 @@ fn assert_oracle_agreement(recovered: &Database, committed: &Database, seed: u64
 /// the final state exactly, and keeps doing so across further sessions.
 #[test]
 fn clean_shutdown_recovers_the_final_state_exactly() {
+    #[cfg(feature = "fault-injection")]
+    let _guard = CRASH_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     for seed in 0..20u64 {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
         let dir = test_dir(&format!("clean-{seed}"));
@@ -258,6 +264,10 @@ fn clean_shutdown_recovers_the_final_state_exactly() {
 /// last one, unless a deferred structural reset was still pending).
 #[test]
 fn kill_minus_nine_recovers_a_committed_state() {
+    #[cfg(feature = "fault-injection")]
+    let _guard = CRASH_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     for seed in 0..20u64 {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x5851_F42D).wrapping_add(3));
         let dir = test_dir(&format!("kill-{seed}"));
@@ -283,6 +293,10 @@ fn kill_minus_nine_recovers_a_committed_state() {
 /// land on a committed prefix — never crash, never resurrect the tail.
 #[test]
 fn torn_and_flipped_wal_tails_recover_to_a_committed_prefix() {
+    #[cfg(feature = "fault-injection")]
+    let _guard = CRASH_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     for seed in 0..8u64 {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xA076_1D64).wrapping_add(9));
         let src = test_dir(&format!("surgery-src-{seed}"));
