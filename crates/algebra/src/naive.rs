@@ -14,45 +14,59 @@
 //! survey: naïve evaluation computes certain answers with nulls for UCQs
 //! under owa and for Pos∀G queries under cwa; Theorem 4.10: it computes
 //! exactly the *almost certainly true* answers for every generic query.
+//!
+//! The renaming is real — the `const(·)`/`null(·)` predicates are not
+//! generic and must see `v(D)`, not `D` — but `v(D)` is never built. The
+//! query is planned once and executed over a
+//! [`ValuationSource`](crate::physical::ValuationSource), which renames
+//! nulls during each scan: relations the query never reads are never
+//! touched, and `Domᵏ` enumerates `v(dom D)` read off the database's domain
+//! summary. Literal relations in the query are not renamed, exactly as in
+//! the textbook construction (the renaming applies to `D`). The
+//! materialising definition survives as the oracle
+//! [`crate::reference::naive_eval_reference`].
 
-use crate::eval::eval;
 use crate::expr::RaExpr;
+use crate::physical::{self, ValuationSource};
 use crate::Result;
-use certa_data::{Const, Database, Relation, Valuation, Value};
-use std::collections::BTreeSet;
+use certa_data::{Database, Relation, Valuation, Value};
 
-/// Evaluate `Q` naïvely on `D`.
-///
-/// Because the paper's queries are generic, renaming nulls to fresh
-/// constants, evaluating, and renaming back is equivalent to evaluating the
-/// syntactic-equality semantics directly on the database with nulls — except
-/// in the presence of the `const(·)`/`null(·)` predicates, which are not
-/// generic. We therefore perform the renaming faithfully.
+/// Evaluate `Q` naïvely on `D`, zero-copy.
 ///
 /// # Errors
 ///
 /// Returns an error if the expression is ill-formed for the schema.
 pub fn naive_eval(expr: &RaExpr, db: &Database) -> Result<Relation> {
-    let nulls = db.nulls();
-    if nulls.is_empty() {
-        return eval(expr, db);
+    expr.validate(db.schema())?;
+    if db.null_count() == 0 {
+        return physical::eval_set(expr, db);
     }
     // Fresh constants must avoid both the database constants and the query
     // constants (§4.1's definition of a bijective valuation).
-    let mut avoid: BTreeSet<Const> = db.consts();
-    avoid.extend(expr.consts());
-    let v = Valuation::bijective_fresh(&nulls, &avoid);
-    let renamed = v.apply_database(db);
-    let output = eval(expr, &renamed)?;
+    let query_consts = expr.consts(); // sorted, deduplicated
+    let v = Valuation::bijective_fresh(db.iter_nulls(), |c| {
+        db.has_const(c) || query_consts.binary_search(c).is_ok()
+    });
+    let plan = physical::plan(expr, db.schema())?;
+    let output = physical::execute(
+        &plan,
+        &ValuationSource::new(db, &v),
+        &mut physical::identity_hook,
+    )?;
+    // Rename back row by row, so the output set is built once.
     let inverse = v.inverse();
-    Ok(output.map(|t| {
-        t.map(|value| match value {
-            Value::Const(c) => inverse
-                .get(c)
-                .map_or_else(|| value.clone(), |null| Value::Null(*null)),
-            Value::Null(_) => value.clone(),
-        })
-    }))
+    let arity = output.arity();
+    Ok(Relation::with_arity(
+        arity,
+        output.into_rows().into_iter().map(|(t, _)| {
+            t.map(|value| match value {
+                Value::Const(c) => inverse
+                    .get(c)
+                    .map_or_else(|| value.clone(), |null| Value::Null(*null)),
+                Value::Null(_) => value.clone(),
+            })
+        }),
+    ))
 }
 
 /// Naïve evaluation restricted to null-free answer tuples,
@@ -69,6 +83,7 @@ pub fn naive_eval_const(expr: &RaExpr, db: &Database) -> Result<Relation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::eval;
     use crate::expr::Condition;
     use certa_data::{database_from_literal, tup};
 

@@ -517,13 +517,14 @@ impl Source<SetAnn> for ValuationSource<'_> {
     }
 
     fn active_domain(&self) -> Vec<Value> {
-        // dom(v(D)) = { v(x) | x ∈ dom(D) }: map and re-deduplicate.
-        let domain: BTreeSet<Value> = self
+        // dom(v(D)) = Const(D) ∪ { v(⊥) | ⊥ ∈ Null(D) }, read off the
+        // database's domain summary and re-deduplicated.
+        let consts = self.db.iter_consts().cloned().map(Value::Const);
+        let nulls = self
             .db
-            .active_domain()
-            .iter()
-            .map(|v| self.valuation.apply_value(v))
-            .collect();
+            .iter_nulls()
+            .map(|n| self.valuation.apply_value(&Value::Null(n)));
+        let domain: BTreeSet<Value> = consts.chain(nulls).collect();
         domain.into_iter().collect()
     }
 }

@@ -16,7 +16,8 @@
 
 use crate::expr::RaExpr;
 use crate::{AlgebraError, Result};
-use certa_data::{unify, BagDatabase, BagRelation, Database, Relation, Value};
+use certa_data::{unify, BagDatabase, BagRelation, Const, Database, Relation, Valuation, Value};
+use std::collections::BTreeSet;
 
 /// Set-semantics evaluation by structural recursion, cloning the operand
 /// relations at every node (the seed's `eval_unchecked`).
@@ -59,6 +60,37 @@ pub fn eval_set_reference(expr: &RaExpr, db: &Database) -> Result<Relation> {
         }
         RaExpr::Literal(rel) => Ok(rel.clone()),
     }
+}
+
+/// Naïve evaluation by its textbook definition `v⁻¹(Q(v(D)))` (§4.1):
+/// collect `Const(D) ∪ Const(Q)`, materialise the renamed instance `v(D)`
+/// with [`Valuation::apply_database`], evaluate with
+/// [`eval_set_reference`], and map the fresh constants back. The oracle for
+/// the zero-copy [`crate::naive_eval`].
+///
+/// # Errors
+///
+/// Returns an error if the expression is ill-formed for the schema.
+pub fn naive_eval_reference(expr: &RaExpr, db: &Database) -> Result<Relation> {
+    expr.validate(db.schema())?;
+    let nulls = db.nulls();
+    if nulls.is_empty() {
+        return eval_set_reference(expr, db);
+    }
+    let mut avoid: BTreeSet<Const> = db.consts();
+    avoid.extend(expr.consts());
+    let v = Valuation::bijective_fresh(nulls.iter().copied(), |c| avoid.contains(c));
+    let renamed = v.apply_database(db);
+    let output = eval_set_reference(expr, &renamed)?;
+    let inverse = v.inverse();
+    Ok(output.map(|t| {
+        t.map(|value| match value {
+            Value::Const(c) => inverse
+                .get(c)
+                .map_or_else(|| value.clone(), |null| Value::Null(*null)),
+            Value::Null(_) => value.clone(),
+        })
+    }))
 }
 
 /// Bag-semantics evaluation by structural recursion (the seed's

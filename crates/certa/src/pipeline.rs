@@ -134,7 +134,7 @@ pub struct BackendChoice {
 }
 
 fn choose_exact_backend(spec: &certa_certain::WorldSpec, db: &Database) -> BackendChoice {
-    let nulls = db.nulls().len();
+    let nulls = db.null_count();
     let pool = spec.pool().len();
     let worlds = spec.world_count(db);
     let (backend, reason) = if worlds <= LINEAGE_WORLD_THRESHOLD {

@@ -82,7 +82,7 @@ impl WorldSpec {
 
     /// Number of valuations this spec induces on a database.
     pub fn world_count(&self, db: &Database) -> usize {
-        count_valuations(db.nulls().len(), self.pool.len())
+        count_valuations(db.null_count(), self.pool.len())
     }
 
     /// Check the bound for a database.
@@ -108,9 +108,22 @@ impl WorldSpec {
 /// constants (at least one per null is needed for exactness; more lets the
 /// probabilistic module vary `k`).
 pub fn default_pool(query: &RaExpr, db: &Database, extra_fresh: usize) -> WorldSpec {
-    let mut pool: BTreeSet<Const> = db.consts();
-    pool.extend(query.consts());
-    let mut pool: Vec<Const> = pool.into_iter().collect();
+    // Merge the database's sorted constants (borrowed from its domain
+    // summary) with the query's constants not already among them.
+    let mut query_only = query
+        .consts()
+        .into_iter()
+        .filter(|c| !db.has_const(c))
+        .peekable();
+    let db_consts = db.iter_consts();
+    let mut pool: Vec<Const> = Vec::with_capacity(db_consts.len() + extra_fresh);
+    for c in db_consts {
+        while let Some(q) = query_only.next_if(|q| q < c) {
+            pool.push(q);
+        }
+        pool.push(c.clone());
+    }
+    pool.extend(query_only);
     for i in 0..extra_fresh {
         pool.push(Const::str(format!("§world{i}")));
     }
@@ -129,7 +142,7 @@ pub fn default_pool(query: &RaExpr, db: &Database, extra_fresh: usize) -> WorldS
 /// same behaviour by genericity.
 pub fn exact_pool(query: &RaExpr, db: &Database) -> WorldSpec {
     let arity = query.arity(db.schema()).unwrap_or(0);
-    default_pool(query, db, (db.nulls().len() + arity).max(1))
+    default_pool(query, db, (db.null_count() + arity).max(1))
 }
 
 /// Enumerate the valuations of the database's nulls over the spec's pool,
@@ -484,6 +497,28 @@ mod tests {
         assert!(spec.pool().contains(&Const::Int(2)));
         assert!(spec.pool().contains(&Const::Int(99)));
         assert_eq!(spec.pool().len(), 5);
+    }
+
+    #[test]
+    fn default_pool_is_the_sorted_union_then_the_fresh_constants() {
+        // Query constants below, between, above and equal to the
+        // database's: the one-pass merge must equal the set union.
+        let d = database_from_literal([(
+            "R",
+            vec!["a", "b"],
+            vec![tup![2, "m"], tup![Value::null(0), 5], tup![8, "x"]],
+        )]);
+        let mut cond = certa_algebra::Condition::eq_const(0, 5);
+        for c in [Const::Int(0), Const::Int(3), Const::Int(9), Const::str("a")] {
+            cond = cond.or(certa_algebra::Condition::eq_const(0, c));
+        }
+        cond = cond.or(certa_algebra::Condition::eq_const(1, "z"));
+        let q = RaExpr::rel("R").select(cond);
+        let mut union: BTreeSet<Const> = d.consts();
+        union.extend(q.consts());
+        let mut expected: Vec<Const> = union.into_iter().collect();
+        expected.extend((0..3).map(|i| Const::str(format!("§world{i}"))));
+        assert_eq!(default_pool(&q, &d, 3).pool(), expected.as_slice());
     }
 
     #[test]

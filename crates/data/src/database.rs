@@ -12,6 +12,7 @@
 
 use crate::bag::BagRelation;
 use crate::delta::{Delta, DELTA_LOG_CAP};
+use crate::domain::DomainSummary;
 use crate::relation::Relation;
 use crate::schema::{RelationSchema, Schema};
 use crate::snapshot;
@@ -23,6 +24,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Process-wide instance-id allocator. Ids are never reused, so a cache
 /// keyed on `(instance, epoch)` can never confuse two databases — including
@@ -65,6 +67,12 @@ pub struct Database {
     /// Optional durability attachment: when present, every logged mutation
     /// appends a WAL frame before the mutator returns (see [`crate::wal`]).
     durable: Option<DurableLog>,
+    /// The active-domain summary (occurrence counts of every constant and
+    /// null), built by one scan at the first read. The typed mutators keep
+    /// it exact while it exists; `relation_mut`, `set_relation` and WAL
+    /// replay drop it. A `OnceLock` rather than a `RefCell` so `&Database`
+    /// stays `Sync` for the morsel and world-engine workers.
+    domain: OnceLock<DomainSummary>,
 }
 
 impl Clone for Database {
@@ -83,6 +91,7 @@ impl Clone for Database {
             // A clone never inherits the durability attachment: two writers
             // interleaving frames in one WAL would corrupt both histories.
             durable: None,
+            domain: self.domain.clone(),
         }
     }
 }
@@ -120,6 +129,7 @@ impl Database {
             log: VecDeque::new(),
             next_null,
             durable: None,
+            domain: OnceLock::new(),
         }
     }
 
@@ -147,6 +157,7 @@ impl Database {
             log: VecDeque::new(),
             next_null: next_null.max(observed),
             durable: None,
+            domain: OnceLock::new(),
         }
     }
 
@@ -159,6 +170,9 @@ impl Database {
     /// relation, wrong semantics) is reported as corruption and recovery
     /// treats it as the start of the torn tail.
     pub(crate) fn replay_record(&mut self, epoch: u64, record: &WalRecord) -> Result<()> {
+        // Replay edits relations directly; the next read rebuilds the
+        // summary once instead of maintaining it frame by frame.
+        self.domain.take();
         match record {
             WalRecord::Delta(Delta::Insert { relation, tuples }) => {
                 {
@@ -378,6 +392,34 @@ impl Database {
         }
     }
 
+    /// Account for tuples that entered a relation through a typed mutator:
+    /// advance the null allocator and count them in the domain summary.
+    fn note_inserted(&mut self, tuples: &[Tuple]) {
+        for t in tuples {
+            self.note_nulls(t);
+        }
+        if let Some(domain) = self.domain.get_mut() {
+            for t in tuples {
+                domain.add(t);
+            }
+        }
+    }
+
+    /// Uncount tuples that left a relation through a typed mutator.
+    fn note_removed<'a>(&mut self, tuples: impl IntoIterator<Item = &'a Tuple>) {
+        if let Some(domain) = self.domain.get_mut() {
+            for t in tuples {
+                domain.remove(t);
+            }
+        }
+    }
+
+    /// The active-domain summary, built by one scan if it is not current.
+    fn domain(&self) -> &DomainSummary {
+        self.domain
+            .get_or_init(|| DomainSummary::scan(self.relations.values().flat_map(Relation::iter)))
+    }
+
     /// Keep the null allocator above every null mentioned in `t`.
     fn note_nulls(&mut self, t: &Tuple) {
         for v in t.iter() {
@@ -450,6 +492,8 @@ impl Database {
             return Err(DataError::UnknownRelation(name.to_string()));
         }
         self.record(Delta::Structural);
+        // Edits through the borrow are invisible to the summary.
+        self.domain.take();
         let epoch = self.epoch;
         if let Some(d) = self.durable.as_mut() {
             // The WAL frame must carry the relation's contents *after* the
@@ -501,9 +545,7 @@ impl Database {
                 // The arity error outranks any WAL failure; a poisoned log
                 // stays observable via `durability_crashed`.
                 if !added.is_empty() {
-                    for t in &added {
-                        self.note_nulls(t);
-                    }
+                    self.note_inserted(&added);
                     self.record(Delta::Insert {
                         relation: relation.to_string(),
                         tuples: added,
@@ -521,9 +563,7 @@ impl Database {
             }
         }
         if !added.is_empty() {
-            for t in &added {
-                self.note_nulls(t);
-            }
+            self.note_inserted(&added);
             self.record(Delta::Insert {
                 relation: relation.to_string(),
                 tuples: added,
@@ -548,6 +588,7 @@ impl Database {
             .ok_or_else(|| DataError::UnknownRelation(relation.to_string()))?;
         let removed = rel.remove(tuple);
         if removed {
+            self.note_removed([tuple]);
             self.record(Delta::Delete {
                 relation: relation.to_string(),
                 tuples: vec![tuple.clone()],
@@ -580,6 +621,7 @@ impl Database {
         }
         let n = removed.len();
         if n > 0 {
+            self.note_removed(&removed);
             self.record(Delta::Delete {
                 relation: relation.to_string(),
                 tuples: removed,
@@ -609,9 +651,11 @@ impl Database {
 
     /// The substitution behind [`Database::resolve_null`], shared with WAL
     /// replay: rewrite every occurrence of `⊥_null` to `value` without
-    /// touching the identity layer. Returns the number of tuples rewritten.
+    /// touching the identity layer, keeping a built domain summary exact.
+    /// Returns the number of tuples rewritten.
     fn substitute_null(&mut self, null: NullId, value: &Const) -> usize {
         let mut touched = 0usize;
+        let mut domain = self.domain.get_mut();
         for rel in self.relations.values_mut() {
             let affected = rel
                 .iter()
@@ -619,17 +663,30 @@ impl Database {
             if !affected {
                 continue;
             }
+            // Images counted so far: under set semantics an image equal to a
+            // tuple the relation keeps, or to an earlier image, collapses
+            // into it and adds no occurrences.
+            let mut counted: BTreeSet<Tuple> = BTreeSet::new();
             let substituted = rel.map(|t| {
                 let hit = t.iter().any(|v| *v == Value::Null(null));
                 if hit {
                     touched += 1;
-                    t.map(|v| {
+                    let image = t.map(|v| {
                         if *v == Value::Null(null) {
                             Value::Const(value.clone())
                         } else {
                             v.clone()
                         }
-                    })
+                    });
+                    if let Some(domain) = domain.as_deref_mut() {
+                        domain.remove(t);
+                        // Only unaffected tuples can equal an image (every
+                        // affected one still mentions the null).
+                        if !rel.contains(&image) && counted.insert(image.clone()) {
+                            domain.add(&image);
+                        }
+                    }
+                    image
                 } else {
                     t.clone()
                 }
@@ -665,6 +722,7 @@ impl Database {
             }
         }
         self.relations.insert(name.to_string(), rel);
+        self.domain.take();
         self.record(Delta::Structural);
         // Unlike `relation_mut`, the new contents are fully known here, so
         // the structural change goes to the WAL as an immediate reset.
@@ -684,33 +742,50 @@ impl Database {
         self.relations.iter().map(|(n, r)| (n.as_str(), r))
     }
 
-    /// Set of constants occurring in the database, `Const(D)`.
+    /// Set of constants occurring in the database, `Const(D)`. Hot callers
+    /// should prefer the borrowed [`Database::iter_consts`] and
+    /// [`Database::has_const`].
     pub fn consts(&self) -> BTreeSet<Const> {
-        // One flat vector, sorted and deduplicated once: no per-tuple set.
-        let mut all: Vec<Const> = self
-            .relations
-            .values()
-            .flat_map(Relation::iter)
-            .flat_map(|t| t.iter().filter_map(Value::as_const).cloned())
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        all.into_iter().collect()
+        self.iter_consts().cloned().collect()
     }
 
-    /// Set of nulls occurring in the database, `Null(D)`.
+    /// Set of nulls occurring in the database, `Null(D)`. Hot callers
+    /// should prefer [`Database::iter_nulls`] and [`Database::null_count`].
     pub fn nulls(&self) -> BTreeSet<NullId> {
-        self.relations.values().flat_map(Relation::nulls).collect()
+        self.iter_nulls().collect()
     }
 
     /// The active domain `dom(D) = Const(D) ∪ Null(D)`.
     pub fn active_domain(&self) -> BTreeSet<Value> {
-        self.relations.values().flat_map(Relation::values).collect()
+        let consts = self.iter_consts().cloned().map(Value::Const);
+        consts.chain(self.iter_nulls().map(Value::Null)).collect()
+    }
+
+    /// The constants of `Const(D)` in ascending order, borrowed from the
+    /// maintained summary.
+    pub fn iter_consts(&self) -> impl ExactSizeIterator<Item = &Const> {
+        self.domain().consts()
+    }
+
+    /// The nulls of `Null(D)` in ascending order, borrowed from the
+    /// maintained summary.
+    pub fn iter_nulls(&self) -> impl ExactSizeIterator<Item = NullId> + '_ {
+        self.domain().nulls()
+    }
+
+    /// `|Null(D)|`, the number of distinct nulls.
+    pub fn null_count(&self) -> usize {
+        self.iter_nulls().len()
+    }
+
+    /// `c ∈ Const(D)`.
+    pub fn has_const(&self, c: &Const) -> bool {
+        self.domain().has_const(c)
     }
 
     /// `true` iff the database mentions no nulls (it is *complete*, §2).
     pub fn is_complete(&self) -> bool {
-        self.relations.values().all(Relation::is_complete)
+        self.null_count() == 0
     }
 
     /// Total number of tuples across all relations.
@@ -726,7 +801,7 @@ impl Database {
     /// (inserts and `set_relation` advance it past any nulls they carry).
     /// Allocation is bookkeeping, not a mutation: the epoch is unchanged.
     pub fn fresh_null(&mut self) -> NullId {
-        let observed = self.nulls().iter().max().map_or(0, |m| m + 1);
+        let observed = self.domain().max_null().map_or(0, |m| m + 1);
         let id = self.next_null.max(observed);
         self.next_null = id + 1;
         id
@@ -1772,5 +1847,178 @@ mod tests {
         assert!(matches!(err, DataError::Corrupt { .. }));
         assert!(crate::wal::recover(&dir).is_ok());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `Const(D)`, `Null(D)`, `dom(D)` and the next fresh null, computed
+    /// from scratch by scanning every relation (no summary involved).
+    fn scanned_domain(
+        d: &Database,
+    ) -> (BTreeSet<Const>, BTreeSet<NullId>, BTreeSet<Value>, NullId) {
+        let consts: BTreeSet<Const> = d.relations.values().flat_map(Relation::consts).collect();
+        let nulls: BTreeSet<NullId> = d.relations.values().flat_map(Relation::nulls).collect();
+        let values: BTreeSet<Value> = d.relations.values().flat_map(Relation::values).collect();
+        let fresh = d.next_null.max(nulls.last().map_or(0, |m| m + 1));
+        (consts, nulls, values, fresh)
+    }
+
+    /// Every summary read equals a scan, and a built summary carries the
+    /// exact occurrence counts a fresh build would.
+    fn assert_summary_matches_scan(d: &Database, step: &str) {
+        let (consts, nulls, values, fresh) = scanned_domain(d);
+        assert_eq!(d.consts(), consts, "consts after {step}: {d}");
+        assert_eq!(d.nulls(), nulls, "nulls after {step}: {d}");
+        assert_eq!(d.active_domain(), values, "dom after {step}: {d}");
+        assert_eq!(d.clone().fresh_null(), fresh, "fresh_null after {step}");
+        assert_eq!(d.null_count(), nulls.len());
+        assert_eq!(d.is_complete(), nulls.is_empty());
+        assert!(d.iter_consts().eq(consts.iter()));
+        assert!(consts.iter().all(|c| d.has_const(c)));
+        assert!(!d.has_const(&Const::str("never-stored")));
+        let rebuilt = DomainSummary::scan(d.relations.values().flat_map(Relation::iter));
+        assert_eq!(d.domain(), &rebuilt, "occurrence counts after {step}");
+    }
+
+    #[test]
+    fn domain_summary_equals_a_scan_under_every_mutator() {
+        // 300 seeded mutation sequences over a small domain, so tuples
+        // collide, resolutions merge images into existing tuples, and
+        // values come and go. Both sides of a clone are mutated and
+        // checked; every tenth sequence also snapshots and recovers.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let schema = Schema::from_relations(vec![
+            RelationSchema::new("A", vec!["x"]),
+            RelationSchema::new("B", vec!["x", "y"]),
+            RelationSchema::new("C", vec!["x", "y", "z"]),
+        ])
+        .unwrap();
+        let names = [("A", 1usize), ("B", 2), ("C", 3)];
+        fn value(next: &mut dyn FnMut(u64) -> u64) -> Value {
+            match next(3) {
+                0 => Value::int(next(4) as i64),
+                1 => Value::str(format!("s{}", next(3))),
+                _ => Value::null(next(4) as NullId),
+            }
+        }
+        for seq in 0..300u64 {
+            let mut d = Database::new(schema.clone());
+            let mut twin: Option<Database> = None;
+            for step in 0..14 {
+                let (name, arity) = names[next(3) as usize];
+                let tuple =
+                    |next: &mut dyn FnMut(u64) -> u64| Tuple::new((0..arity).map(|_| value(next)));
+                let target = match twin.as_mut() {
+                    Some(t) if next(2) == 0 => t,
+                    _ => &mut d,
+                };
+                let op = next(9);
+                let label = match op {
+                    0 | 1 => {
+                        let tuples: Vec<Tuple> =
+                            (0..1 + next(3)).map(|_| tuple(&mut next)).collect();
+                        target.insert_all(name, tuples).unwrap();
+                        "insert_all"
+                    }
+                    2 => {
+                        // An arity error midway: the prefix stays inserted.
+                        let good = tuple(&mut next);
+                        let bad = Tuple::new((0..arity + 1).map(|_| value(&mut next)));
+                        assert!(target.insert_all(name, [good, bad]).is_err());
+                        "insert_all with an arity error"
+                    }
+                    3 => {
+                        let victim = target.relation(name).unwrap().iter().next().cloned();
+                        let t = victim.unwrap_or_else(|| tuple(&mut next));
+                        target.delete(name, &t).unwrap();
+                        "delete"
+                    }
+                    4 => {
+                        let drop = value(&mut next);
+                        target
+                            .retain(name, |t| !t.iter().any(|v| *v == drop))
+                            .unwrap();
+                        "retain"
+                    }
+                    5 => {
+                        // Resolve a null whose image tuple already exists
+                        // where possible: insert the image first.
+                        let host = target
+                            .relation(name)
+                            .unwrap()
+                            .iter()
+                            .find(|t| t.has_null())
+                            .cloned();
+                        let c = Const::int(next(4) as i64);
+                        match host {
+                            Some(t) => {
+                                let n = t.iter().find_map(Value::as_null).unwrap();
+                                let image = t.map(|v| {
+                                    if *v == Value::Null(n) {
+                                        Value::Const(c.clone())
+                                    } else {
+                                        v.clone()
+                                    }
+                                });
+                                if next(2) == 0 {
+                                    target.insert(name, image).unwrap();
+                                }
+                                assert!(target.resolve_null(n, c) > 0);
+                            }
+                            None => {
+                                target.resolve_null(next(4) as NullId, c);
+                            }
+                        }
+                        "resolve_null"
+                    }
+                    6 => {
+                        let t = tuple(&mut next);
+                        let rel = target.relation_mut(name).unwrap();
+                        if next(2) == 0 {
+                            rel.insert(t);
+                        } else {
+                            let first = rel.iter().next().cloned();
+                            if let Some(first) = first {
+                                rel.remove(&first);
+                            }
+                        }
+                        "relation_mut"
+                    }
+                    7 => {
+                        let tuples: Vec<Tuple> = (0..next(3)).map(|_| tuple(&mut next)).collect();
+                        target
+                            .set_relation(name, Relation::with_arity(arity, tuples))
+                            .unwrap();
+                        "set_relation"
+                    }
+                    _ => {
+                        twin = Some(d.clone());
+                        "clone"
+                    }
+                };
+                assert_summary_matches_scan(&d, &format!("{label} (seq {seq}, step {step})"));
+                if let Some(t) = &twin {
+                    assert_summary_matches_scan(t, &format!("{label} on the twin (seq {seq})"));
+                }
+            }
+            if seq % 10 == 0 {
+                let dir = durable_dir(&format!("summary-{seq}"));
+                d.attach_durable(&dir).unwrap();
+                d.insert("B", tup![Value::null(9), 1]).unwrap();
+                d.snapshot_durable().unwrap();
+                d.resolve_null(9, Const::int(2));
+                d.delete("B", &tup![2, 1]).unwrap();
+                d.detach_durable().unwrap();
+                assert_summary_matches_scan(&d, "durable writes");
+                let (r, _) = crate::wal::recover(&dir).unwrap();
+                assert_eq!(r, d);
+                assert_summary_matches_scan(&r, "recover");
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
     }
 }

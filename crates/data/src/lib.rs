@@ -35,6 +35,7 @@ pub mod bag;
 pub mod crc32;
 pub mod database;
 pub mod delta;
+mod domain;
 pub mod governor;
 pub mod homomorphism;
 pub mod index;

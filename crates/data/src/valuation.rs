@@ -116,25 +116,32 @@ impl Valuation {
         Valuation { map }
     }
 
-    /// Build a *bijective* valuation on the given nulls: every null is mapped
-    /// to a fresh constant not in `avoid` and not used for another null.
+    /// Build a *bijective* valuation on the given (distinct) nulls: every
+    /// null is mapped to a fresh constant for which `avoid` is false and
+    /// that is not used for another null.
     ///
     /// This is the `v` of naïve evaluation (§4.1): a bijection whose range is
     /// disjoint from the active domain and the constants of the query.
-    pub fn bijective_fresh(nulls: &BTreeSet<NullId>, avoid: &BTreeSet<Const>) -> Valuation {
+    /// `avoid` is a membership test, so callers can answer it from the
+    /// database's domain summary without collecting `Const(D)`.
+    pub fn bijective_fresh(
+        nulls: impl ExactSizeIterator<Item = NullId>,
+        avoid: impl Fn(&Const) -> bool,
+    ) -> Valuation {
         // Fresh constants are taken from a reserved string namespace so they
         // can never collide with user integers or ordinary strings, and so
         // the inverse map is recoverable.
+        let stride = nulls.len();
         let mut map = BTreeMap::new();
-        for (i, n) in nulls.iter().enumerate() {
+        for (i, n) in nulls.enumerate() {
             let mut k = i;
             loop {
                 let candidate = Const::str(format!("§fresh{k}"));
-                if !avoid.contains(&candidate) {
-                    map.insert(*n, candidate);
+                if !avoid(&candidate) {
+                    map.insert(n, candidate);
                     break;
                 }
-                k += nulls.len();
+                k += stride;
             }
         }
         Valuation { map }
@@ -272,7 +279,7 @@ mod tests {
     fn bijective_fresh_avoids_collisions() {
         let nulls: BTreeSet<NullId> = [0, 1, 2].into_iter().collect();
         let avoid: BTreeSet<Const> = [Const::str("§fresh0"), Const::Int(5)].into_iter().collect();
-        let v = Valuation::bijective_fresh(&nulls, &avoid);
+        let v = Valuation::bijective_fresh(nulls.iter().copied(), |c| avoid.contains(c));
         assert!(v.is_injective());
         assert!(v.is_total_on(&nulls));
         for c in v.range() {
@@ -283,7 +290,7 @@ mod tests {
     #[test]
     fn inverse_round_trips() {
         let nulls: BTreeSet<NullId> = [3, 9].into_iter().collect();
-        let v = Valuation::bijective_fresh(&nulls, &BTreeSet::new());
+        let v = Valuation::bijective_fresh(nulls.iter().copied(), |_| false);
         let inv = v.inverse();
         for (n, c) in v.iter() {
             assert_eq!(inv[c], n);

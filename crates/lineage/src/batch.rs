@@ -347,7 +347,7 @@ impl LineageBatch {
             cond.consts(&mut avoid);
         }
         avoid.extend(self.encoding.pool().iter().cloned());
-        let v = Valuation::bijective_fresh(&nulls, &avoid);
+        let v = Valuation::bijective_fresh(nulls.iter().copied(), |c| avoid.contains(c));
         let target = v.apply_tuple(tuple);
         self.rows
             .iter()
@@ -413,7 +413,7 @@ fn check_symbolic_fragment(expr: &RaExpr) -> Result<()> {
     match expr {
         RaExpr::Relation(_) => Ok(()),
         RaExpr::Literal(rel) => {
-            if rel.nulls().is_empty() {
+            if rel.is_complete() {
                 Ok(())
             } else {
                 Err(LineageError::Unsupported(

@@ -20,7 +20,7 @@
 
 use certa_algebra::Stats;
 use certa_ctables::Cond;
-use certa_data::{Database, NullId};
+use certa_data::{Database, NullId, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Order `nulls` for diagram levels using condition occurrence counts and,
@@ -70,7 +70,7 @@ fn cluster_ranks(stats: &Stats, db: &Database) -> BTreeMap<NullId, usize> {
             continue;
         };
         for tuple in rel.iter() {
-            for n in tuple.nulls() {
+            for n in tuple.iter().filter_map(Value::as_null) {
                 ranks.entry(n).or_insert(rank);
             }
         }

@@ -86,6 +86,8 @@ metric_ids! {
     SnapshotBytes => "snapshot.bytes",
     RecoveryRuns => "recovery.runs",
     RecoveryReplayedFrames => "recovery.replayed_frames",
+    // Data layer: from-scratch builds of the active-domain summary.
+    DomainRebuilds => "data.domain_rebuilds",
 }
 
 impl MetricId {
